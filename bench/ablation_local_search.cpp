@@ -22,16 +22,13 @@ int main(int argc, char** argv) {
   spec.eta_axis = {0.01};
   spec.runs = runs;
   spec.base_seed = static_cast<std::uint64_t>(args.seed);
-  // The last row re-runs RFH+LS with the historical full per-candidate
-  // Dijkstra pricing, so the end-to-end win of PR 4's dynamic shortest-path
-  // repair shows up in the timing column (costs agree to FP tolerance).
-  spec.solvers = {"rfh", "rfh+ls", "idb", "idb+ls", "rfh+ls:ls-pricing=full"};
+  spec.solvers = {"rfh", "rfh+ls", "idb", "idb+ls"};
   const exp::SweepResult result = bench::run_sweep(spec, args);
 
   util::Table table({"pipeline", "cost [uJ]", "vs IDB [%]", "time [s]"});
   const double reference = result.cost_stats(0, 2).mean() * 1e6;
   const std::vector<const char*> labels{"RFH", "RFH + local search", "IDB d=1",
-                                        "IDB + local search", "RFH + LS (full pricing)"};
+                                        "IDB + local search"};
   for (std::size_t s = 0; s < labels.size(); ++s) {
     const double cost = result.cost_stats(0, static_cast<int>(s)).mean() * 1e6;
     table.begin_row()

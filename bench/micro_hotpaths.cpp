@@ -1,24 +1,19 @@
 // Microbenchmarks for the solver hot paths (Google Benchmark).
 //
 // Measures the layers of one deployment pricing separately -- edge-cost
-// lookup, single-sink Dijkstra, whole-deployment pricing, local search --
-// and pits each against a faithful inline replica of the pre-cache
-// implementation (std::function weight, per-call reachability probing,
-// full DAG extraction), so the reported speedups track this library's real
-// history rather than a strawman.  docs/performance.md interprets the
-// numbers; scripts/perf_baseline.sh refreshes BENCH_hotpaths.json.
+// lookup, single-sink Dijkstra, whole-deployment pricing, candidate-move
+// pricing, local search.  docs/performance.md interprets the numbers;
+// scripts/perf_baseline.sh refreshes BENCH_hotpaths.json.
 //
 // Flags (before the --benchmark_* ones): --seed, --scale=default|paper
-// (paper doubles the pricing field to 200 posts), --threads=<n> for the
-// parallel local-search runs (0 = all cores), --runs=<n> as shorthand for
-// --benchmark_repetitions.
+// (paper doubles the pricing field to 200 posts), --runs=<n> as shorthand
+// for --benchmark_repetitions.
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
 
 #include <cmath>
 #include <map>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -31,7 +26,6 @@
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "util/arena.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -39,103 +33,6 @@ using namespace wrsn;
 
 std::int64_t g_seed = 42;
 int g_posts = 100;
-int g_threads = 0;  // 0 = all hardware threads
-
-// --- Pre-PR replicas -------------------------------------------------------
-// Copies of the historical implementations, kept verbatim so the cached /
-// inlined paths are measured against what actually shipped before them.
-
-// Historical edge cost: level lookup + radio table, no dense cache.
-double legacy_tx_energy(const core::Instance& inst, int from, int to) {
-  return inst.radio().tx_energy(inst.graph().min_level(from, to));
-}
-
-// Historical charging-aware weight: std::function with captured state.
-graph::WeightFn legacy_recharging_weight(const core::Instance& instance,
-                                         const std::vector<int>& deployment) {
-  const int bs = instance.graph().base_station();
-  std::vector<double> inv_eff(deployment.size());
-  for (std::size_t i = 0; i < deployment.size(); ++i) {
-    inv_eff[i] = 1.0 / instance.charging().efficiency(deployment[i]);
-  }
-  return [&instance, inv_eff = std::move(inv_eff), bs](int from, int to) {
-    double w = legacy_tx_energy(instance, from, to) * inv_eff[static_cast<std::size_t>(from)];
-    if (to != bs) w += instance.rx_energy() * inv_eff[static_cast<std::size_t>(to)];
-    return w;
-  };
-}
-
-// Historical Dijkstra: priority_queue, per-relaxation reachable() probing,
-// tight-predecessor extraction over all vertex pairs.
-graph::ShortestPathDag legacy_shortest_paths_to_base(const graph::ReachGraph& graph,
-                                                     const graph::WeightFn& weight,
-                                                     double rel_tie_eps = 1e-9) {
-  const int n = graph.num_vertices();
-  const int bs = graph.base_station();
-  graph::ShortestPathDag dag;
-  dag.base_station = bs;
-  dag.dist.assign(static_cast<std::size_t>(n), graph::kInfinity);
-  dag.parents.assign(static_cast<std::size_t>(n), {});
-  dag.dist[static_cast<std::size_t>(bs)] = 0.0;
-
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.emplace(0.0, bs);
-  std::vector<char> settled(static_cast<std::size_t>(n), 0);
-
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (settled[static_cast<std::size_t>(u)]) continue;
-    settled[static_cast<std::size_t>(u)] = 1;
-    for (int v = 0; v < n; ++v) {
-      if (v == u || settled[static_cast<std::size_t>(v)]) continue;
-      if (!graph.reachable(v, u)) continue;
-      const double w = weight(v, u);
-      const double candidate = d + w;
-      if (candidate < dag.dist[static_cast<std::size_t>(v)]) {
-        dag.dist[static_cast<std::size_t>(v)] = candidate;
-        heap.emplace(candidate, v);
-      }
-    }
-  }
-
-  dag.all_posts_reachable = true;
-  for (int v = 0; v < n; ++v) {
-    if (v == bs) continue;
-    if (!std::isfinite(dag.dist[static_cast<std::size_t>(v)])) {
-      dag.all_posts_reachable = false;
-      continue;
-    }
-    for (int u = 0; u < n; ++u) {
-      if (u == v || !graph.reachable(v, u)) continue;
-      if (!std::isfinite(dag.dist[static_cast<std::size_t>(u)])) continue;
-      const double w = weight(v, u);
-      const double via = dag.dist[static_cast<std::size_t>(u)] + w;
-      const double scale =
-          std::max({std::fabs(dag.dist[static_cast<std::size_t>(v)]), std::fabs(via), 1e-300});
-      if (std::fabs(dag.dist[static_cast<std::size_t>(v)] - via) <= rel_tie_eps * scale) {
-        dag.parents[static_cast<std::size_t>(v)].push_back(u);
-      }
-    }
-  }
-  return dag;
-}
-
-// Historical deployment pricing: fresh weight + full DAG per candidate.
-double legacy_optimal_cost_for_deployment(const core::Instance& instance,
-                                          const std::vector<int>& deployment) {
-  const auto dag = legacy_shortest_paths_to_base(instance.graph(),
-                                                 legacy_recharging_weight(instance, deployment));
-  if (!dag.all_posts_reachable) return graph::kInfinity;
-  double total = 0.0;
-  for (int p = 0; p < instance.num_posts(); ++p) {
-    total += instance.report_rate(p) * dag.dist[static_cast<std::size_t>(p)];
-    total += instance.charging().charger_energy_for(instance.static_energy(p),
-                                                    deployment[static_cast<std::size_t>(p)]);
-  }
-  return total;
-}
 
 // --- Fixtures --------------------------------------------------------------
 
@@ -238,20 +135,6 @@ const core::Instance& sparse_instance(int posts) {
 
 // --- Benchmarks ------------------------------------------------------------
 
-void BM_edge_cost_uncached(benchmark::State& state) {
-  const auto& inst = pricing_instance();
-  const auto& adj = inst.adjacency();
-  const int n = inst.graph().num_vertices();
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (int v = 0; v < n; ++v) {
-      for (int u : adj.out(v)) sum += legacy_tx_energy(inst, v, u);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_edge_cost_uncached);
-
 void BM_edge_cost_cached(benchmark::State& state) {
   const auto& inst = pricing_instance();
   const auto& adj = inst.adjacency();
@@ -267,18 +150,9 @@ void BM_edge_cost_cached(benchmark::State& state) {
 }
 BENCHMARK(BM_edge_cost_cached);
 
-void BM_dijkstra_legacy(benchmark::State& state) {
-  const auto& inst = pricing_instance();
-  const auto weight = legacy_recharging_weight(inst, pricing_deployment());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(legacy_shortest_paths_to_base(inst.graph(), weight));
-  }
-}
-BENCHMARK(BM_dijkstra_legacy);
-
 void BM_dijkstra_heap(benchmark::State& state) {
   const auto& inst = pricing_instance();
-  const core::DenseRechargingWeight weight(inst, pricing_deployment());
+  const core::RechargingWeight weight(inst, pricing_deployment());
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::shortest_paths_to_base(
         inst.graph(), inst.adjacency(), weight, 1e-9, graph::DijkstraVariant::kHeap));
@@ -286,46 +160,19 @@ void BM_dijkstra_heap(benchmark::State& state) {
 }
 BENCHMARK(BM_dijkstra_heap);
 
-void BM_dijkstra_dense(benchmark::State& state) {
-  const auto& inst = pricing_instance();
-  const core::DenseRechargingWeight weight(inst, pricing_deployment());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::shortest_paths_to_base(
-        inst.graph(), inst.adjacency(), weight, 1e-9, graph::DijkstraVariant::kDense));
-  }
-}
-BENCHMARK(BM_dijkstra_dense);
-
-void BM_price_deployment_legacy(benchmark::State& state) {
-  const auto& inst = pricing_instance();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(legacy_optimal_cost_for_deployment(inst, pricing_deployment()));
-  }
-}
-BENCHMARK(BM_price_deployment_legacy);
-
-void BM_price_deployment_cached_heap(benchmark::State& state) {
+// Whole-deployment pricing on the production path (kAuto: the bucket queue,
+// since the recharging weight advertises bounds()).
+void BM_price_deployment_cached(benchmark::State& state) {
   const auto& inst = pricing_instance();
   core::CostEvalScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(optimal_cost_for_deployment(inst, pricing_deployment(), scratch,
-                                                         graph::DijkstraVariant::kHeap));
+    benchmark::DoNotOptimize(optimal_cost_for_deployment(inst, pricing_deployment(), scratch));
   }
 }
-BENCHMARK(BM_price_deployment_cached_heap);
-
-void BM_price_deployment_cached_dense(benchmark::State& state) {
-  const auto& inst = pricing_instance();
-  core::CostEvalScratch scratch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(optimal_cost_for_deployment(inst, pricing_deployment(), scratch,
-                                                         graph::DijkstraVariant::kDense));
-  }
-}
-BENCHMARK(BM_price_deployment_cached_dense);
+BENCHMARK(BM_price_deployment_cached);
 
 // Candidate-move pricing, the local-search inner loop: one fresh Dijkstra
-// per move (the pre-PR-4 path) ...
+// per move ...
 void BM_move_price_full(benchmark::State& state) {
   const auto& inst = move_instance(static_cast<int>(state.range(0)));
   const int n = inst.num_posts();
@@ -367,7 +214,8 @@ BENCHMARK(BM_move_price_incremental)->Arg(50)->Arg(100)->Arg(300);
 // Sparse-core scaling rows, N in {1e3, 1e4, 1e5} posts.  These are
 // *trajectory* rows: scripts/bench_check.py --track '^BM_sparse_' reports
 // their drift without gating on it (absolute times at 1e5 are machine- and
-// cache-bound), while the dense rows above stay the hard regression gate.
+// cache-bound), while the dense-storage rows above stay the hard
+// regression gate.
 // A dense (N+1)^2 matrix at 1e5 posts would be ~80 GB, so these rows only
 // exist at all because of the CSR adjacency + grid-indexed builder.
 void BM_sparse_instance_build(benchmark::State& state) {
@@ -391,9 +239,8 @@ BENCHMARK(BM_sparse_instance_build)
     ->Unit(benchmark::kMillisecond);
 
 // Whole-deployment pricing (one charging-aware Dijkstra + cost fold) on the
-// sparse path; kAuto resolves to the bucket queue here because the packed
-// adjacency carries weight bounds and the degree is far below dense's
-// break-even.
+// sparse path; kAuto resolves to the bucket queue because the packed
+// adjacency carries weight bounds.
 void BM_sparse_price_deployment(benchmark::State& state) {
   const auto& inst = sparse_instance(static_cast<int>(state.range(0)));
   const std::vector<int> deployment(static_cast<std::size_t>(inst.num_posts()), 2);
@@ -410,47 +257,30 @@ BENCHMARK(BM_sparse_price_deployment)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-void run_local_search(benchmark::State& state, int threads, core::LocalSearchStrategy strategy,
-                      core::MovePricing pricing = core::MovePricing::kIncremental) {
+void run_local_search(benchmark::State& state, core::LocalSearchStrategy strategy) {
   const auto& inst = ls_instance();
   const auto& start = ls_start();
   core::LocalSearchOptions options;
-  options.threads = threads;
   options.strategy = strategy;
-  options.pricing = pricing;
   std::uint64_t evaluations = 0;
-  std::uint64_t wasted = 0;
   double cost = 0.0;
   for (auto _ : state) {
     const auto result = core::refine_solution(inst, start, options);
     evaluations = result.evaluations;
-    wasted = result.wasted_evaluations;
     cost = result.cost;
     benchmark::DoNotOptimize(result.cost);
   }
   state.counters["evals"] = static_cast<double>(evaluations);
-  state.counters["wasted"] = static_cast<double>(wasted);
   state.counters["cost_uj"] = cost * 1e6;
 }
 
 void BM_local_search_serial(benchmark::State& state) {
-  run_local_search(state, 1, core::LocalSearchStrategy::kFirstImprovement);
+  run_local_search(state, core::LocalSearchStrategy::kFirstImprovement);
 }
 BENCHMARK(BM_local_search_serial)->Unit(benchmark::kMillisecond);
 
-void BM_local_search_serial_full_pricing(benchmark::State& state) {
-  run_local_search(state, 1, core::LocalSearchStrategy::kFirstImprovement,
-                   core::MovePricing::kFull);
-}
-BENCHMARK(BM_local_search_serial_full_pricing)->Unit(benchmark::kMillisecond);
-
-void BM_local_search_parallel(benchmark::State& state) {
-  run_local_search(state, g_threads, core::LocalSearchStrategy::kFirstImprovement);
-}
-BENCHMARK(BM_local_search_parallel)->Unit(benchmark::kMillisecond);
-
 void BM_local_search_best_improvement(benchmark::State& state) {
-  run_local_search(state, g_threads, core::LocalSearchStrategy::kBestImprovement);
+  run_local_search(state, core::LocalSearchStrategy::kBestImprovement);
 }
 BENCHMARK(BM_local_search_best_improvement)->Unit(benchmark::kMillisecond);
 
@@ -461,7 +291,6 @@ int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
   g_seed = args.seed;
   g_posts = args.paper_scale() ? 200 : 100;
-  g_threads = args.threads;
   // ... then Google Benchmark's, with --runs mapped onto repetitions.
   std::vector<char*> bench_argv(argv, argv + argc);
   std::string repetitions;

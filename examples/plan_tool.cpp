@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   double sim_outages = 0.0;
   std::string sim_repair = "none";
   std::int64_t sim_fault_seed = 7;
-  int threads = 1;
   std::string ls_strategy = "first";
   int exact_threads = 1;
   int exact_split_depth = 0;
@@ -90,7 +89,6 @@ int main(int argc, char** argv) {
   flags.add_string("sim-repair", &sim_repair,
                    "reaction to faults: none | reroute | maintain");
   flags.add_int64("sim-fault-seed", &sim_fault_seed, "fault model RNG seed");
-  flags.add_int("threads", &threads, "local-search pricing threads (0 = all cores)");
   flags.add_string("ls-strategy", &ls_strategy, "local-search move rule: first | best");
   flags.add_int("exact-threads", &exact_threads,
                 "exact-solver search workers (0 = all cores); closed-run results are "
@@ -146,11 +144,10 @@ int main(int argc, char** argv) {
       core::Instance::geometric(field, radio, svc::make_charging(scenario), nodes);
 
   // Solve via the shared planner; --solver takes any registry spec, and the
-  // standalone --threads / --ls-strategy / --exact-* flags are folded into
+  // standalone --ls-strategy / --exact-* flags are folded into
   // the spec unless it sets them explicitly (svc::resolve_solver_spec).
   svc::PlanOptions plan_options;
   plan_options.solver = solver;
-  plan_options.ls_threads = threads;
   plan_options.ls_strategy = ls_strategy;
   plan_options.exact_threads = exact_threads;
   plan_options.exact_split_depth = exact_split_depth;

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs the full test suite under a sanitizer in a dedicated build tree.
-# ThreadSanitizer is the default -- it exercises the parallel local-search
-# and ThreadPool paths -- but any -fsanitize= value works:
+# ThreadSanitizer is the default -- it exercises util::ThreadPool (the
+# experiment runner and the parallel exact search), the lock-free obs
+# registry and the service's worker pool -- but any -fsanitize= value works
+# (CI runs both lines below):
 #
 #   scripts/sanitize_check.sh                  # thread
 #   scripts/sanitize_check.sh address,undefined

@@ -127,7 +127,7 @@ double optimal_cost_for_deployment(const Instance& instance, const std::vector<i
 }
 
 double optimal_cost_for_deployment(const Instance& instance, const std::vector<int>& deployment,
-                                   CostEvalScratch& scratch, graph::DijkstraVariant variant) {
+                                   CostEvalScratch& scratch) {
   if (static_cast<int>(deployment.size()) != instance.num_posts()) {
     throw std::invalid_argument("deployment size does not match the instance");
   }
@@ -137,7 +137,7 @@ double optimal_cost_for_deployment(const Instance& instance, const std::vector<i
     scratch.weight->assign(deployment);
   }
   const bool reachable = graph::shortest_distances_to_base(
-      instance.graph(), instance.adjacency(), *scratch.weight, scratch.dijkstra, variant);
+      instance.graph(), instance.adjacency(), *scratch.weight, scratch.dijkstra);
   if (!reachable) return graph::kInfinity;
   // Each source contributes its rate times its per-bit path cost; static
   // draws are routed-independent but still paid through the post's

@@ -117,11 +117,6 @@ class EnergyWeight {
   bool include_rx_;
 };
 
-/// Historical names, kept so out-of-tree call sites and docs migrate at
-/// their own pace ("dense" no longer describes the storage behind them).
-using DenseRechargingWeight = RechargingWeight;
-using DenseEnergyWeight = EnergyWeight;
-
 /// Reusable deployment-pricing state: one Dijkstra run's buffers plus the
 /// rebindable weight.  Lets callers price thousands of deployments with
 /// zero steady-state allocation; use one per thread in parallel loops (the
@@ -145,8 +140,7 @@ double optimal_cost_for_deployment(const Instance& instance, const std::vector<i
 /// long-lived scratch so per-candidate pricing allocates nothing and skips
 /// the tight-edge DAG extraction entirely.
 double optimal_cost_for_deployment(const Instance& instance, const std::vector<int>& deployment,
-                                   CostEvalScratch& scratch,
-                                   graph::DijkstraVariant variant = graph::DijkstraVariant::kAuto);
+                                   CostEvalScratch& scratch);
 
 /// Extracts a single-parent shortest-path tree from a DAG (first tight
 /// parent, deterministic).

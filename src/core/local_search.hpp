@@ -8,15 +8,13 @@
 // Every candidate is priced with the charging-aware shortest-path routing
 // (optimal for a fixed deployment), so the search walks the same objective
 // the exact solver optimizes and terminates at a local optimum of it.
-// By default candidates are priced by dynamic shortest-path repair
-// (core::DeploymentPricer) instead of a fresh Dijkstra each; see
-// MovePricing below for the equivalence contract.
-//
-// Candidate pricing can run on several threads.  The parallel
-// first-improvement mode speculates ahead in the serial scan order and
-// rewinds past the first accepted move, so the accepted-move sequence -- and
-// therefore the result -- is bit-identical to the serial scan for every
-// thread count; only `wasted_evaluations` (discarded speculation) varies.
+// Candidates are priced by dynamic shortest-path repair
+// (core::DeploymentPricer) instead of a fresh Dijkstra each.  That changes
+// candidate costs only at the floating-point summation level; the
+// accepted-move sequence matches fresh-Dijkstra pricing whenever no two
+// candidates price within ~1e-12 relative of each other
+// (`min_relative_gain` absorbs ulp-level accept flips).  tests/
+// test_local_search.cpp keeps the fresh-Dijkstra scan as the oracle.
 #pragma once
 
 #include <cstdint>
@@ -40,38 +38,20 @@ enum class LocalSearchStrategy {
   kBestImprovement,
 };
 
-enum class MovePricing {
-  /// One fresh charging-aware Dijkstra per candidate (the historical path;
-  /// golden-regression tests pin against it bit-for-bit).
-  kFull,
-  /// Dynamic shortest-path repair per candidate (core::DeploymentPricer):
-  /// equal to kFull within the FP-summation tolerance documented in
-  /// docs/performance.md, and >= 5x faster at N = 300 (default).
-  kIncremental,
-};
-
 struct LocalSearchOptions {
   /// Hard cap on improvement passes (a pass scans all (a, b) moves).
   int max_passes = 50;
   /// Accept a move only when it improves by more than this relative slack
   /// (guards against cycling on floating-point noise).
   double min_relative_gain = 1e-12;
-  /// Worker threads pricing candidates: 1 = serial, 0 = all hardware
-  /// threads.  Any value yields the same solution (see file comment).
-  int threads = 1;
   LocalSearchStrategy strategy = LocalSearchStrategy::kFirstImprovement;
-  /// How candidate moves are priced.  kIncremental changes costs only at the
-  /// floating-point summation level; the accepted-move sequence is identical
-  /// whenever no two candidates price within ~1e-12 relative of each other
-  /// (`min_relative_gain` absorbs ulp-level accept flips).
-  MovePricing pricing = MovePricing::kIncremental;
-  /// Observer notified per candidate move (accept/reject + delta), per pass
-  /// and per run (obs/sink.hpp); nullptr = none.  Purely observational;
-  /// callbacks always fire from the calling thread in serial scan order.
+  /// Observer notified per candidate move (accept/reject + delta) and per
+  /// pass (obs/sink.hpp); nullptr = none.  Purely observational; callbacks
+  /// fire in scan order.
   obs::Sink* sink = nullptr;
   /// Live `wrsn-progress v1` heartbeats under source "ls" (best cost, moves
-  /// tried/accepted, incremental-vs-full pricing counts); nullptr = silent.
-  /// Like `sink`, purely observational and fired from the calling thread.
+  /// tried/accepted, incremental pricing count); nullptr = silent.  Like
+  /// `sink`, purely observational.
   obs::ProgressSink* progress = nullptr;
 };
 
@@ -82,14 +62,8 @@ struct LocalSearchResult {
   double initial_cost = 0.0;
   int moves_applied = 0;
   int passes = 0;
-  /// Deployments priced (one charging-aware Dijkstra each) that the serial
-  /// scan would also have priced.
+  /// Deployments priced: the start plus every candidate move.
   std::uint64_t evaluations = 0;
-  /// Speculative pricings discarded by first-improvement rewinds (always 0
-  /// when threads == 1 or strategy == kBestImprovement).
-  std::uint64_t wasted_evaluations = 0;
-  /// Actual worker count after resolving threads == 0.
-  int threads_used = 1;
 };
 
 /// Refines `start` (which must be valid for `instance`). The result never

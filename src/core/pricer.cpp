@@ -169,7 +169,7 @@ void DeploymentPricer::full_recompute(const std::vector<double>& inv,
 
   const TableWeight weight{instance_, &inv, bs_, rx_};
   const bool reachable = graph::shortest_distances_to_base(
-      instance_->graph(), instance_->adjacency(), weight, full_scratch_, options_.variant);
+      instance_->graph(), instance_->adjacency(), weight, full_scratch_);
   if (!reachable) {
     throw InfeasibleInstance("some post cannot reach the base station");
   }

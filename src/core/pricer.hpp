@@ -16,7 +16,7 @@
 //     (the "repair region"), re-seeds each region vertex from its intact
 //     out-neighbors, and re-runs a Dijkstra bounded to the region.  When the
 //     region exceeds `Options::full_recompute_fraction` of the posts it
-//     falls back to one full dense recompute instead;
+//     falls back to one full recompute instead;
 //   * moves (a -> b) compose a removal repair and an addition relaxation;
 //   * disabling a post (site destroyed, all nodes lost) drives its edge
 //     weights to +infinity and repairs the survivors the same way a removal
@@ -53,10 +53,8 @@ class DeploymentPricer {
   struct Options {
     /// Decremental repairs whose region exceeds this fraction of the posts
     /// fall back to one full recompute (the bounded repair would do more
-    /// work than a fresh dense Dijkstra).
+    /// work than a fresh Dijkstra).
     double full_recompute_fraction = 0.5;
-    /// Inner-loop variant for full recomputes (construction and fallback).
-    graph::DijkstraVariant variant = graph::DijkstraVariant::kAuto;
     /// When set, the pricer's reusable repair/evaluation buffers live in
     /// this arena (one arena per worker, same lifetime discipline as the
     /// pricer itself; see util/arena.hpp).
@@ -133,7 +131,7 @@ class DeploymentPricer {
   /// over the region (or falls back to `full_recompute`).
   void repair_increase(int a, const std::vector<double>& inv, std::vector<double>& dist,
                        std::vector<int>* parents) const;
-  /// One fresh dense-machinery Dijkstra under `inv`; rebuilds `parents`
+  /// One fresh full Dijkstra under `inv`; rebuilds `parents`
   /// from scratch when non-null.
   void full_recompute(const std::vector<double>& inv, std::vector<double>& dist,
                       std::vector<int>* parents) const;

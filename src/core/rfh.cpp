@@ -218,8 +218,8 @@ RfhResult solve_rfh(const Instance& instance, const RfhOptions& options) {
       0};
 
   std::vector<int> deployment;  // empty until the first Phase IV
-  const DenseEnergyWeight energy(instance, options.rx_in_weight);
-  std::optional<DenseRechargingWeight> recharging;  // rebound per iteration
+  const EnergyWeight energy(instance, options.rx_in_weight);
+  std::optional<RechargingWeight> recharging;  // rebound per iteration
   for (int iter = 0; iter < options.iterations; ++iter) {
     WRSN_TRACE_SPAN("rfh/iteration");
     // Phase I weights: plain per-bit energy on the first pass, true

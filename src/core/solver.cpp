@@ -21,19 +21,12 @@ struct LsConfig {
 
   static LsConfig read(SolverOptionReader& reader) {
     LsConfig config;
-    config.options.threads = reader.get_int("ls-threads", config.options.threads);
     config.options.max_passes = reader.get_int("ls-passes", config.options.max_passes);
     const std::string strategy = reader.get_string("ls-strategy", "first");
     if (strategy == "best") {
       config.options.strategy = LocalSearchStrategy::kBestImprovement;
     } else if (strategy != "first") {
       bad_spec("unknown ls-strategy '" + strategy + "' (expected first|best)");
-    }
-    const std::string pricing = reader.get_string("ls-pricing", "incremental");
-    if (pricing == "full") {
-      config.options.pricing = MovePricing::kFull;
-    } else if (pricing != "incremental") {
-      bad_spec("unknown ls-pricing '" + pricing + "' (expected full|incremental)");
     }
     return config;
   }
@@ -197,8 +190,7 @@ void register_builtins(SolverRegistry& registry) {
                });
   registry.add("rfh+ls",
                "RFH followed by move-neighborhood local search (RFH options plus "
-               "ls-threads, ls-passes, ls-strategy=first|best, "
-               "ls-pricing=full|incremental)",
+               "ls-passes, ls-strategy=first|best)",
                [](const SolverSpec& spec) -> std::unique_ptr<Solver> {
                  SolverOptionReader reader(spec);
                  RfhOptions options = read_rfh_options(reader);
@@ -216,8 +208,8 @@ void register_builtins(SolverRegistry& registry) {
                  return std::make_unique<IdbSolver>(spec.canonical(), options, std::nullopt);
                });
   registry.add("idb+ls",
-               "IDB followed by local search (delta plus ls-threads, ls-passes, "
-               "ls-strategy=first|best, ls-pricing=full|incremental)",
+               "IDB followed by local search (delta plus ls-passes, "
+               "ls-strategy=first|best)",
                [](const SolverSpec& spec) -> std::unique_ptr<Solver> {
                  SolverOptionReader reader(spec);
                  IdbOptions options;

@@ -8,23 +8,12 @@ namespace wrsn::graph {
 
 namespace detail {
 
-void note_run(ResolvedVariant v) noexcept {
+void note_run(bool bucket) noexcept {
   // Cached references: the registry lock is taken once per process, not per
   // run (obs sits below graph in the layering, see CONTRIBUTING.md).
-  static obs::Counter& dense_runs = obs::Registry::global().counter("dijkstra/dense_runs");
   static obs::Counter& heap_runs = obs::Registry::global().counter("dijkstra/heap_runs");
   static obs::Counter& dial_runs = obs::Registry::global().counter("dijkstra/dial_runs");
-  switch (v) {
-    case ResolvedVariant::kDense:
-      dense_runs.increment();
-      break;
-    case ResolvedVariant::kHeap:
-      heap_runs.increment();
-      break;
-    case ResolvedVariant::kBucket:
-      dial_runs.increment();
-      break;
-  }
+  (bucket ? dial_runs : heap_runs).increment();
 }
 
 }  // namespace detail

@@ -17,13 +17,13 @@
 //   * the `WeightFn` (std::function) overload is kept as a thin adapter for
 //     cold call sites and ad-hoc lambdas.
 // The templated overloads also take a prebuilt `ReachAdjacency` so repeated
-// runs over one graph skip the O(N^2) reachability probing, and offer three
-// inner loops: a binary heap, a dense O(N^2) no-heap settle scan, and a
-// bucket-queue (Dial) variant that exploits the narrow edge-weight range the
-// paper's small discrete level set produces.  `DijkstraVariant::kAuto` picks
-// dense on high-degree graphs, buckets when the weight advertises usable
-// `bounds()`, and the heap otherwise (docs/performance.md has the
-// crossovers).  All variants produce bit-identical results.
+// runs over one graph skip the O(N^2) reachability probing, and offer two
+// inner loops: a binary heap and a bucket-queue (Dial) variant that exploits
+// the narrow edge-weight range the paper's small discrete level set
+// produces.  `DijkstraVariant::kAuto` picks buckets on sparse graphs when
+// the weight advertises usable `bounds()`, and the heap otherwise
+// (docs/performance.md has the measurements).  Both produce bit-identical
+// results.
 #pragma once
 
 #include <algorithm>
@@ -77,13 +77,12 @@ struct ShortestPathDag {
 
 /// Which inner loop a Dijkstra run uses.
 enum class DijkstraVariant {
-  kAuto,    ///< dense when the graph is dense enough, else bucket when the
+  kAuto,    ///< bucket on sparse graphs (detail::prefer_buckets) when the
             ///< weight advertises usable bounds(), else heap
-  kHeap,    ///< binary heap, O(E log V) -- the sparse-graph generalist
-  kDense,   ///< no-heap linear-scan settle, O(V^2 + E) -- wins on dense ones
-  kBucket,  ///< Dial bucket queue, O(E + buckets) -- wins on sparse graphs
-            ///< with a narrow weight range; falls back to the heap when the
-            ///< weight has no usable bounds()
+  kHeap,    ///< binary heap, O(E log V) -- the generalist
+  kBucket,  ///< Dial bucket queue, O(E + buckets) -- wins with a narrow
+            ///< weight range; falls back to the heap when the weight has no
+            ///< usable bounds()
 };
 
 /// Reusable buffers for repeated Dijkstra runs over one graph; at steady
@@ -107,19 +106,9 @@ struct DijkstraScratch {
 
 namespace detail {
 
-/// True when the dense O(V^2) settle scan is expected to beat the heap:
-/// the scan costs ~V^2 flat reads while the heap pays O(log V) bookkeeping
-/// per relaxation, so density (E/V relative to V) decides.
-inline bool prefer_dense(double avg_degree, int num_vertices) noexcept {
-  return avg_degree * 8.0 >= static_cast<double>(num_vertices);
-}
-
-/// Which inner loop actually ran, for the obs counters.
-enum class ResolvedVariant { kDense, kHeap, kBucket };
-
-/// Bumps the obs counters dijkstra/{dense,heap,dial}_runs (defined in the
-/// .cpp so this header stays free of obs includes).
-void note_run(ResolvedVariant v) noexcept;
+/// Bumps the obs counter dijkstra/dial_runs (bucket) or dijkstra/heap_runs
+/// (defined in the .cpp so this header stays free of obs includes).
+void note_run(bool bucket) noexcept;
 
 inline void check_weight(double w) {
   if (!(w > 0.0) || !std::isfinite(w)) {
@@ -182,6 +171,16 @@ inline std::size_t bucket_count(const WeightBounds& b) noexcept {
   return static_cast<std::size_t>(ratio) + 3;
 }
 
+/// kAuto's choice between the two loops.  Dial pays off on sparse graphs
+/// (the 10^4-post path, the paper's 500 m fields).  On dense ones -- every
+/// small paper-scale field, avg_degree * 8 >= V -- it won only on the
+/// largest fields with narrow weight ranges, while a crowded post (many
+/// nodes, hence a wide weight range) made its ring walk up to 10x slower
+/// than the heap (docs/performance.md has the measurements).
+inline bool prefer_buckets(double avg_degree, int num_vertices) noexcept {
+  return avg_degree * 8.0 < static_cast<double>(num_vertices);
+}
+
 /// Throws when a packed-tx weight is paired with an adjacency that packed
 /// no tx energies (the arrays the weight form relies on do not exist).
 template <class WeightT>
@@ -214,47 +213,18 @@ bool shortest_distances_to_base(const ReachGraph& graph, const ReachAdjacency& a
   settled.assign(static_cast<std::size_t>(n), 0);
   dist[static_cast<std::size_t>(bs)] = 0.0;
 
-  using detail::ResolvedVariant;
-  ResolvedVariant resolved = ResolvedVariant::kHeap;
+  // Bucket queue when chosen (kAuto: on sparse graphs) and the weight's
+  // bounds() make one usable, else the heap.
   WeightBounds wb;
   std::size_t num_buckets = 0;
-  if (variant == DijkstraVariant::kDense ||
-      (variant == DijkstraVariant::kAuto && detail::prefer_dense(adj.avg_degree(), n))) {
-    resolved = ResolvedVariant::kDense;
-  } else if (variant == DijkstraVariant::kBucket || variant == DijkstraVariant::kAuto) {
+  if (variant == DijkstraVariant::kBucket ||
+      (variant == DijkstraVariant::kAuto && detail::prefer_buckets(adj.avg_degree(), n))) {
     wb = detail::weight_bounds(weight);
     num_buckets = detail::bucket_count(wb);
-    resolved = num_buckets > 0 ? ResolvedVariant::kBucket : ResolvedVariant::kHeap;
   }
-  detail::note_run(resolved);
+  detail::note_run(num_buckets > 0);
 
-  if (resolved == ResolvedVariant::kDense) {
-    for (int round = 0; round < n; ++round) {
-      int u = -1;
-      double best = kInfinity;
-      for (int v = 0; v < n; ++v) {
-        if (!settled[static_cast<std::size_t>(v)] && dist[static_cast<std::size_t>(v)] < best) {
-          best = dist[static_cast<std::size_t>(v)];
-          u = v;
-        }
-      }
-      if (u < 0) break;  // the rest is unreachable
-      settled[static_cast<std::size_t>(u)] = 1;
-      const double d = dist[static_cast<std::size_t>(u)];
-      const auto in = adj.in(u);
-      const double* tx = adj.in_tx(u);
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        const int v = in[i];
-        if (settled[static_cast<std::size_t>(v)]) continue;
-        const double w = detail::eval_weight(weight, v, u, tx, i);
-        detail::check_weight(w);
-        const double candidate = d + w;
-        if (candidate < dist[static_cast<std::size_t>(v)]) {
-          dist[static_cast<std::size_t>(v)] = candidate;
-        }
-      }
-    }
-  } else if (resolved == ResolvedVariant::kBucket) {
+  if (num_buckets > 0) {
     // Dial's algorithm over real weights: tentative distances of pending
     // vertices span at most max_weight, so a circular array of
     // ceil(max/width) + slack buckets indexed by floor(d / width) (mod size)

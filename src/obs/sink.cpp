@@ -13,9 +13,6 @@ MetricsSink::MetricsSink(Registry& registry)
       ls_passes_(&registry.counter("ls/passes")),
       ls_improvement_(&registry.histogram("ls/improvement")),
       ls_final_cost_(&registry.gauge("ls/final_cost")),
-      ls_parallel_runs_(&registry.counter("ls/parallel_runs")),
-      ls_parallel_threads_(&registry.gauge("ls/parallel_threads")),
-      ls_parallel_wasted_(&registry.counter("ls/parallel_wasted_evaluations")),
       idb_rounds_(&registry.counter("idb/rounds")),
       idb_evaluations_(&registry.gauge("idb/evaluations")),
       idb_final_cost_(&registry.gauge("idb/final_cost")),
@@ -55,12 +52,6 @@ void MetricsSink::on_local_search_move(const LocalSearchMoveEvent& event) {
 void MetricsSink::on_local_search_pass(const LocalSearchPassEvent& event) {
   ls_passes_->increment();
   ls_final_cost_->set(event.cost);
-}
-
-void MetricsSink::on_local_search_run(const LocalSearchRunEvent& event) {
-  if (event.threads > 1) ls_parallel_runs_->increment();
-  ls_parallel_threads_->set(static_cast<double>(event.threads));
-  ls_parallel_wasted_->increment(event.wasted_evaluations);
 }
 
 void MetricsSink::on_idb_round(const IdbRoundEvent& event) {

@@ -43,16 +43,6 @@ struct LocalSearchPassEvent {
   double cost = 0.0;            ///< incumbent cost after the pass
 };
 
-/// Local search finished a whole run (refine_solution returned).
-struct LocalSearchRunEvent {
-  int threads = 1;                         ///< workers used (1 = serial)
-  bool best_improvement = false;           ///< strategy: best- vs first-improvement
-  std::uint64_t evaluations = 0;           ///< candidates whose price was consulted
-  std::uint64_t wasted_evaluations = 0;    ///< speculative prices discarded by rewinds
-  int passes = 0;
-  int moves_applied = 0;
-};
-
 /// IDB committed one round (delta nodes placed).
 struct IdbRoundEvent {
   int round = 0;                  ///< 0-based
@@ -109,7 +99,6 @@ class Sink {
   virtual void on_rfh_iteration(const RfhIterationEvent&) {}
   virtual void on_local_search_move(const LocalSearchMoveEvent&) {}
   virtual void on_local_search_pass(const LocalSearchPassEvent&) {}
-  virtual void on_local_search_run(const LocalSearchRunEvent&) {}
   virtual void on_idb_round(const IdbRoundEvent&) {}
   virtual void on_sim_round(const SimRoundEvent&) {}
   virtual void on_sim_fault(const SimFaultEvent&) {}
@@ -131,9 +120,6 @@ class RecordingSink : public Sink {
   void on_local_search_pass(const LocalSearchPassEvent& event) override {
     local_search_passes.push_back(event);
   }
-  void on_local_search_run(const LocalSearchRunEvent& event) override {
-    local_search_runs.push_back(event);
-  }
   void on_idb_round(const IdbRoundEvent& event) override { idb_rounds.push_back(event); }
   void on_sim_round(const SimRoundEvent& event) override { sim_rounds.push_back(event); }
   void on_sim_fault(const SimFaultEvent& event) override { sim_faults.push_back(event); }
@@ -146,7 +132,6 @@ class RecordingSink : public Sink {
     rfh_iterations.clear();
     local_search_moves.clear();
     local_search_passes.clear();
-    local_search_runs.clear();
     idb_rounds.clear();
     sim_rounds.clear();
     sim_faults.clear();
@@ -157,7 +142,6 @@ class RecordingSink : public Sink {
   std::vector<RfhIterationEvent> rfh_iterations;
   std::vector<LocalSearchMoveEvent> local_search_moves;
   std::vector<LocalSearchPassEvent> local_search_passes;
-  std::vector<LocalSearchRunEvent> local_search_runs;
   std::vector<IdbRoundEvent> idb_rounds;
   std::vector<SimRoundEvent> sim_rounds;
   std::vector<SimFaultEvent> sim_faults;
@@ -170,7 +154,6 @@ class RecordingSink : public Sink {
 ///   rfh/iterations, rfh/final_cost, rfh/iteration_cost, rfh/fat_tree_edges,
 ///   ls/evaluations, ls/moves_accepted, ls/moves_rejected, ls/passes,
 ///   ls/improvement, ls/final_cost,
-///   ls/parallel_runs, ls/parallel_threads, ls/parallel_wasted_evaluations,
 ///   idb/rounds, idb/evaluations, idb/final_cost,
 ///   sim/rounds, sim/dead_nodes, sim/consumed_j, sim/round_energy_j,
 ///   sim/battery_min_j, sim/battery_mean_j,
@@ -184,7 +167,6 @@ class MetricsSink : public Sink {
   void on_rfh_iteration(const RfhIterationEvent& event) override;
   void on_local_search_move(const LocalSearchMoveEvent& event) override;
   void on_local_search_pass(const LocalSearchPassEvent& event) override;
-  void on_local_search_run(const LocalSearchRunEvent& event) override;
   void on_idb_round(const IdbRoundEvent& event) override;
   void on_sim_round(const SimRoundEvent& event) override;
   void on_sim_fault(const SimFaultEvent& event) override;
@@ -203,9 +185,6 @@ class MetricsSink : public Sink {
   Counter* ls_passes_;
   Histogram* ls_improvement_;
   Gauge* ls_final_cost_;
-  Counter* ls_parallel_runs_;
-  Gauge* ls_parallel_threads_;
-  Counter* ls_parallel_wasted_;
   Counter* idb_rounds_;
   Gauge* idb_evaluations_;
   Gauge* idb_final_cost_;
@@ -243,9 +222,6 @@ class MultiSink : public Sink {
   }
   void on_local_search_pass(const LocalSearchPassEvent& event) override {
     for (Sink* s : sinks_) s->on_local_search_pass(event);
-  }
-  void on_local_search_run(const LocalSearchRunEvent& event) override {
-    for (Sink* s : sinks_) s->on_local_search_run(event);
   }
   void on_idb_round(const IdbRoundEvent& event) override {
     for (Sink* s : sinks_) s->on_idb_round(event);

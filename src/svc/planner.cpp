@@ -16,11 +16,8 @@ core::SolverSpec resolve_solver_spec(const PlanOptions& options) {
     return std::any_of(spec.options.begin(), spec.options.end(),
                        [&key](const auto& kv) { return kv.first == key; });
   };
-  if (spec.name.ends_with("+ls")) {
-    if (!has_option("ls-threads")) {
-      spec.options.emplace_back("ls-threads", std::to_string(options.ls_threads));
-    }
-    if (!has_option("ls-strategy")) spec.options.emplace_back("ls-strategy", options.ls_strategy);
+  if (spec.name.ends_with("+ls") && !has_option("ls-strategy")) {
+    spec.options.emplace_back("ls-strategy", options.ls_strategy);
   }
   // Same fold-in for the exact solver's parallel/anytime knobs.
   if (spec.name == "exact") {

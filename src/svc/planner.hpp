@@ -27,7 +27,6 @@ namespace wrsn::svc {
 /// Defaults mirror plan_tool's.
 struct PlanOptions {
   std::string solver = "rfh+ls";  ///< core::SolverRegistry spec string
-  int ls_threads = 1;             ///< folded into "+ls" specs as ls-threads=
   std::string ls_strategy = "first";
   int exact_threads = 1;          ///< folded into "exact" specs as threads=
   int exact_split_depth = 0;
@@ -38,10 +37,9 @@ struct PlanOptions {
 };
 
 /// Parses `options.solver` and folds the standalone knobs into the spec
-/// unless the spec pins them itself ("+ls" specs gain ls-threads/
-/// ls-strategy, "exact" gains threads/split_depth/budget) -- plan_tool's
-/// historical fold-in, verbatim.  Throws std::invalid_argument on a
-/// malformed spec.
+/// unless the spec pins them itself ("+ls" specs gain ls-strategy,
+/// "exact" gains threads/split_depth/budget) -- plan_tool's historical
+/// fold-in.  Throws std::invalid_argument on a malformed spec.
 core::SolverSpec resolve_solver_spec(const PlanOptions& options);
 
 /// Samples a connected field exactly the way plan_tool does for generated

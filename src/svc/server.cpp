@@ -132,7 +132,6 @@ PlanOptions plan_options_from_params(const io::Json& params) {
   PlanOptions options;
   try {
     if (const io::Json* v = params.find("solver")) options.solver = v->as_string();
-    if (const io::Json* v = params.find("ls_threads")) options.ls_threads = v->as_int();
     if (const io::Json* v = params.find("ls_strategy")) options.ls_strategy = v->as_string();
     if (const io::Json* v = params.find("exact_threads")) options.exact_threads = v->as_int();
     if (const io::Json* v = params.find("exact_split_depth")) {
@@ -657,6 +656,10 @@ io::Json Server::handle_evaluate(const Request& request) {
     }
     if (pricer == nullptr) {
       // Full (re)build: one fresh Dijkstra, buffers in the session arena.
+      // The old pricer's buffers go first, so the arena is reused rather
+      // than grown by every rebuild.
+      warm->pricer.reset();
+      warm->arena.reset();
       core::DeploymentPricer::Options pricer_options;
       pricer_options.arena = &warm->arena;
       warm->pricer = std::make_unique<core::DeploymentPricer>(instance, deployment,

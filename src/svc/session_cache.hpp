@@ -4,7 +4,7 @@
 // rejection sampling, adjacency construction, and a fresh Dijkstra scratch;
 // a warm request reuses all of it.  One `Session` owns the immutable parsed
 // `core::Instance` for a scenario fingerprint plus a pool of per-worker
-// warm state (BumpArena + CostEvalScratch + committed DeploymentPricer), so
+// warm state (BumpArena + committed DeploymentPricer), so
 // repeat traffic against the same scenario prices deployments with zero
 // steady-state allocation and -- for single-post deltas -- by incremental
 // shortest-path repair instead of a fresh Dijkstra (docs/service.md
@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/cost.hpp"
 #include "core/instance.hpp"
 #include "core/pricer.hpp"
 #include "svc/protocol.hpp"
@@ -33,14 +32,11 @@
 
 namespace wrsn::svc {
 
-/// Per-worker warm evaluation state.  The arena backs both the Dijkstra
-/// scratch and the pricer's repair buffers and is never reset while they
-/// live (the arena grows to the instance's working set once, then stays).
+/// Per-worker warm evaluation state.  The arena backs the pricer's repair
+/// buffers only: a rebuild destroys the old pricer and resets the arena
+/// first, so the arena grows to the instance's working set once, then stays.
 struct WarmState {
-  WarmState() : scratch(arena) {}
-
   util::BumpArena arena;
-  core::CostEvalScratch scratch;
   /// Committed pricer from the last evaluate that used this state; rebuilt
   /// whenever a requested deployment is not a single-post delta from it.
   std::unique_ptr<core::DeploymentPricer> pricer;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/baseline.hpp"
+#include "dijkstra_oracle.hpp"
 #include "helpers.hpp"
 
 namespace wrsn::core {
@@ -116,19 +118,19 @@ TEST(Cost, OptimalCostMonotoneInDeployment) {
   EXPECT_LT(after, before);
 }
 
-TEST(Cost, DenseRechargingWeightMatchesTypeErased) {
+TEST(Cost, RechargingWeightMatchesTypeErased) {
   util::Rng rng(511);
   const Instance inst = test::random_instance(10, 30, 140.0, rng);
   std::vector<int> deployment = balanced_deployment(10, 30);
   deployment[2] += 3;
   deployment[7] -= 1;
   const graph::WeightFn erased = recharging_weight(inst, deployment);
-  DenseRechargingWeight dense(inst, deployment);
+  RechargingWeight concrete(inst, deployment);
   const int n = inst.graph().num_vertices();
   for (int from = 0; from < inst.num_posts(); ++from) {
     for (int to = 0; to < n; ++to) {
       if (from == to || !inst.graph().reachable(from, to)) continue;
-      EXPECT_EQ(dense(from, to), erased(from, to)) << from << "->" << to;
+      EXPECT_EQ(concrete(from, to), erased(from, to)) << from << "->" << to;
     }
   }
 
@@ -136,35 +138,35 @@ TEST(Cost, DenseRechargingWeightMatchesTypeErased) {
   std::vector<int> moved = deployment;
   --moved[2];
   ++moved[0];
-  dense.set_node_count(2, moved[2]);
-  dense.set_node_count(0, moved[0]);
+  concrete.set_node_count(2, moved[2]);
+  concrete.set_node_count(0, moved[0]);
   const graph::WeightFn erased_moved = recharging_weight(inst, moved);
   for (int from = 0; from < inst.num_posts(); ++from) {
     for (int to = 0; to < n; ++to) {
       if (from == to || !inst.graph().reachable(from, to)) continue;
-      EXPECT_EQ(dense(from, to), erased_moved(from, to));
+      EXPECT_EQ(concrete(from, to), erased_moved(from, to));
     }
   }
 }
 
-TEST(Cost, DenseRechargingWeightValidatesDeploymentSize) {
+TEST(Cost, RechargingWeightValidatesDeploymentSize) {
   const Instance inst = test::chain_instance(3, 6);
-  EXPECT_THROW(DenseRechargingWeight(inst, {1, 1}), std::invalid_argument);
-  DenseRechargingWeight weight(inst, {2, 2, 2});
+  EXPECT_THROW(RechargingWeight(inst, {1, 1}), std::invalid_argument);
+  RechargingWeight weight(inst, {2, 2, 2});
   EXPECT_THROW(weight.assign({1, 1, 1, 1}), std::invalid_argument);
 }
 
-TEST(Cost, DenseEnergyWeightMatchesTypeErased) {
+TEST(Cost, EnergyWeightMatchesTypeErased) {
   util::Rng rng(521);
   const Instance inst = test::random_instance(8, 16, 130.0, rng);
   const int n = inst.graph().num_vertices();
   for (bool include_rx : {false, true}) {
     const graph::WeightFn erased = energy_weight(inst, include_rx);
-    const DenseEnergyWeight dense(inst, include_rx);
+    const EnergyWeight concrete(inst, include_rx);
     for (int from = 0; from < inst.num_posts(); ++from) {
       for (int to = 0; to < n; ++to) {
         if (from == to || !inst.graph().reachable(from, to)) continue;
-        EXPECT_EQ(dense(from, to), erased(from, to));
+        EXPECT_EQ(concrete(from, to), erased(from, to));
       }
     }
   }
@@ -173,7 +175,8 @@ TEST(Cost, DenseEnergyWeightMatchesTypeErased) {
 TEST(Cost, ScratchOverloadIsBitIdenticalToLegacy) {
   // The scratch-reusing pricing is the solver hot path; it must agree with
   // the allocating overload to the last bit across many deployments, and
-  // across both Dijkstra variants, even when the scratch is reused.
+  // heap, bucket and the dense-scan oracle must agree on every distance,
+  // even when the scratch is reused.
   util::Rng rng(523);
   const Instance inst = test::random_instance(12, 36, 150.0, rng);
   CostEvalScratch scratch;
@@ -187,12 +190,22 @@ TEST(Cost, ScratchOverloadIsBitIdenticalToLegacy) {
     }
     const double reference = optimal_cost_for_deployment(inst, deployment);
     EXPECT_EQ(optimal_cost_for_deployment(inst, deployment, scratch), reference);
-    EXPECT_EQ(optimal_cost_for_deployment(inst, deployment, scratch,
-                                          graph::DijkstraVariant::kHeap),
-              reference);
-    EXPECT_EQ(optimal_cost_for_deployment(inst, deployment, scratch,
-                                          graph::DijkstraVariant::kDense),
-              reference);
+    const RechargingWeight weight(inst, deployment);
+    const auto oracle = test::dense_scan_distances(inst.graph(), inst.adjacency(), weight);
+    double oracle_cost = 0.0;
+    for (int p = 0; p < inst.num_posts(); ++p) {
+      oracle_cost += inst.report_rate(p) * oracle.dist[static_cast<std::size_t>(p)];
+      oracle_cost += inst.charging().charger_energy_for(inst.static_energy(p),
+                                                        deployment[static_cast<std::size_t>(p)]);
+    }
+    EXPECT_EQ(oracle_cost, reference);
+    for (const auto variant : {graph::DijkstraVariant::kHeap, graph::DijkstraVariant::kBucket}) {
+      graph::DijkstraScratch loop;
+      ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight, loop,
+                                                    variant));
+      EXPECT_TRUE(std::equal(loop.dist.begin(), loop.dist.end(), oracle.dist.begin(),
+                             oracle.dist.end()));
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "dijkstra_oracle.hpp"
 #include "geom/field.hpp"
 #include "graph/bitset.hpp"
 
@@ -236,9 +237,9 @@ TEST(ReachAdjacency, ListsMatchReachabilityAndStayAscending) {
   }
 }
 
-TEST(Dijkstra, HeapAndDenseVariantsAreBitIdentical) {
-  // Both inner loops perform the same relaxation arithmetic over the same
-  // edge set, so distances and parent lists must match to the last bit.
+TEST(Dijkstra, HeapAndBucketMatchDenseScanBitForBit) {
+  // Both inner loops perform the dense scan's relaxation arithmetic over the
+  // same edge set, so distances and parent lists must match to the last bit.
   util::Rng rng(313);
   for (int trial = 0; trial < 15; ++trial) {
     const int n = rng.uniform_int(3, 14);
@@ -259,18 +260,25 @@ TEST(Dijkstra, HeapAndDenseVariantsAreBitIdentical) {
         weights[static_cast<std::size_t>(v * (n + 1) + v + 1)] = rng.uniform(0.1, 10.0);
       }
     }
-    const auto weight = [&](int from, int to) {
-      return weights[static_cast<std::size_t>(from * (n + 1) + to)];
+    // Advertises the sampling range so the bucket loop is eligible.
+    struct TableWeight {
+      const std::vector<double>* weights;
+      int stride;
+      double operator()(int from, int to) const {
+        return (*weights)[static_cast<std::size_t>(from * stride + to)];
+      }
+      WeightBounds bounds() const { return {0.1, 10.0}; }
     };
+    const TableWeight weight{&weights, n + 1};
     const ReachAdjacency adj(g);
+    const auto oracle = test::dense_scan_distances(g, adj, weight);
     const auto heap = shortest_paths_to_base(g, adj, weight, 1e-9, DijkstraVariant::kHeap);
-    const auto dense = shortest_paths_to_base(g, adj, weight, 1e-9, DijkstraVariant::kDense);
-    ASSERT_EQ(heap.dist.size(), dense.dist.size());
-    for (std::size_t v = 0; v < heap.dist.size(); ++v) {
-      EXPECT_EQ(heap.dist[v], dense.dist[v]) << "vertex " << v << " trial " << trial;
-      EXPECT_EQ(heap.parents[v], dense.parents[v]) << "vertex " << v << " trial " << trial;
-    }
-    EXPECT_EQ(heap.all_posts_reachable, dense.all_posts_reachable);
+    const auto bucket = shortest_paths_to_base(g, adj, weight, 1e-9, DijkstraVariant::kBucket);
+    EXPECT_EQ(heap.dist, oracle.dist) << "trial " << trial;
+    EXPECT_EQ(bucket.dist, oracle.dist) << "trial " << trial;
+    EXPECT_EQ(bucket.parents, heap.parents) << "trial " << trial;
+    EXPECT_EQ(heap.all_posts_reachable, oracle.all_posts_reachable);
+    EXPECT_EQ(bucket.all_posts_reachable, oracle.all_posts_reachable);
 
     // The WeightFn adapter must agree with both.
     const auto erased = shortest_paths_to_base(g, WeightFn(weight));
@@ -292,7 +300,7 @@ TEST(Dijkstra, DistanceOnlyMatchesDagDistances) {
   const auto dag = shortest_paths_to_base(g, adj, weight);
 
   DijkstraScratch scratch;
-  for (auto variant : {DijkstraVariant::kAuto, DijkstraVariant::kHeap, DijkstraVariant::kDense}) {
+  for (auto variant : {DijkstraVariant::kAuto, DijkstraVariant::kHeap, DijkstraVariant::kBucket}) {
     EXPECT_TRUE(shortest_distances_to_base(g, adj, weight, scratch, variant));
     ASSERT_EQ(scratch.dist.size(), dag.dist.size());
     for (std::size_t v = 0; v < dag.dist.size(); ++v) {
@@ -308,7 +316,7 @@ TEST(Dijkstra, DistanceOnlyReportsUnreachable) {
   DijkstraScratch scratch;
   const auto unit = [](int, int) { return 1.0; };
   EXPECT_FALSE(shortest_distances_to_base(g, adj, unit, scratch, DijkstraVariant::kHeap));
-  EXPECT_FALSE(shortest_distances_to_base(g, adj, unit, scratch, DijkstraVariant::kDense));
+  EXPECT_FALSE(shortest_distances_to_base(g, adj, unit, scratch, DijkstraVariant::kBucket));
   EXPECT_TRUE(std::isinf(scratch.dist[1]));
 }
 
@@ -323,12 +331,6 @@ TEST(Dijkstra, ScratchReuseAcrossDifferentGraphSizes) {
     ASSERT_EQ(static_cast<int>(scratch.dist.size()), n + 1);
     EXPECT_DOUBLE_EQ(scratch.dist[0], static_cast<double>(n));
   }
-}
-
-TEST(Dijkstra, PreferDenseCrossover) {
-  EXPECT_TRUE(detail::prefer_dense(16.0, 100));   // dense graph, small V
-  EXPECT_FALSE(detail::prefer_dense(4.0, 100));   // sparse
-  EXPECT_TRUE(detail::prefer_dense(3.0, 10));     // tiny graphs: always dense
 }
 
 // ------------------------------------------------------------ DAG closure

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "core/baseline.hpp"
 #include "core/exact.hpp"
@@ -10,10 +13,90 @@
 #include "core/rfh.hpp"
 #include "helpers.hpp"
 #include "obs/sink.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wrsn::core {
 namespace {
+
+// Reference oracle: the same scan as refine_solution, with every candidate
+// priced by a fresh charging-aware Dijkstra on a copy of the deployment
+// instead of by incremental repair.
+struct ReferenceRun {
+  std::vector<int> deployment;
+  double cost = 0.0;
+  int moves_applied = 0;
+  int passes = 0;
+  std::uint64_t evaluations = 0;
+  std::vector<obs::LocalSearchMoveEvent> moves;
+};
+
+ReferenceRun reference_refine(const Instance& inst, const Solution& start,
+                              LocalSearchStrategy strategy) {
+  const LocalSearchOptions defaults;
+  const int n = inst.num_posts();
+  CostEvalScratch scratch;
+  ReferenceRun run;
+  run.deployment = start.deployment;
+  std::vector<int>& deployment = run.deployment;
+  const double initial = total_recharging_cost(inst, start);
+  double current = std::min(optimal_cost_for_deployment(inst, deployment, scratch), initial);
+  run.evaluations = 1;
+  const auto price = [&](int a, int b) {
+    std::vector<int> trial = deployment;
+    --trial[static_cast<std::size_t>(a)];
+    ++trial[static_cast<std::size_t>(b)];
+    ++run.evaluations;
+    return optimal_cost_for_deployment(inst, trial, scratch);
+  };
+  const auto commit = [&](int a, int b, double cost) {
+    --deployment[static_cast<std::size_t>(a)];
+    ++deployment[static_cast<std::size_t>(b)];
+    current = cost;
+    ++run.moves_applied;
+  };
+  for (int pass = 0; pass < defaults.max_passes; ++pass) {
+    ++run.passes;
+    const int moves_before = run.moves_applied;
+    if (strategy == LocalSearchStrategy::kBestImprovement) {
+      const std::size_t first = run.moves.size();
+      for (int a = 0; a < n; ++a) {
+        if (deployment[static_cast<std::size_t>(a)] <= 1) continue;
+        for (int b = 0; b < n; ++b) {
+          if (b != a) run.moves.push_back({pass, a, b, current, price(a, b), false});
+        }
+      }
+      const double threshold = current * (1.0 - defaults.min_relative_gain);
+      obs::LocalSearchMoveEvent* best = nullptr;
+      for (std::size_t i = first; i < run.moves.size(); ++i) {
+        if (run.moves[i].new_cost < threshold &&
+            (best == nullptr || run.moves[i].new_cost < best->new_cost)) {
+          best = &run.moves[i];
+        }
+      }
+      if (best != nullptr) {
+        best->accepted = true;
+        commit(best->from_post, best->to_post, best->new_cost);
+      }
+    } else {
+      for (int a = 0; a < n; ++a) {
+        if (deployment[static_cast<std::size_t>(a)] <= 1) continue;
+        for (int b = 0; b < n; ++b) {
+          if (b == a) continue;
+          const double cost = price(a, b);
+          const bool accepted = cost < current * (1.0 - defaults.min_relative_gain);
+          run.moves.push_back({pass, a, b, current, cost, accepted});
+          if (!accepted) continue;
+          commit(a, b, cost);
+          if (deployment[static_cast<std::size_t>(a)] <= 1) break;
+        }
+      }
+    }
+    if (run.moves_applied == moves_before) break;
+  }
+  const RechargingWeight weight(inst, deployment);
+  const auto dag = graph::shortest_paths_to_base(inst.graph(), inst.adjacency(), weight);
+  run.cost = std::min(total_recharging_cost(inst, {spt_from_dag(dag), deployment}), initial);
+  return run;
+}
 
 TEST(LocalSearch, RequiresValidStart) {
   const Instance inst = test::chain_instance(3, 6);
@@ -107,101 +190,23 @@ TEST(LocalSearch, RfhPlusRefinementApproachesIdb) {
   EXPECT_LE(refined_total, idb_total * 1.03);
 }
 
-TEST(LocalSearch, RejectsNegativeThreads) {
-  const Instance inst = test::chain_instance(2, 4);
-  const auto start = solve_balanced_baseline(inst).solution;
-  LocalSearchOptions options;
-  options.threads = -1;
-  EXPECT_THROW(refine_solution(inst, start, options), std::invalid_argument);
-}
-
-TEST(LocalSearch, ThreadsZeroResolvesToHardware) {
-  const Instance inst = test::chain_instance(3, 9);
-  const auto start = solve_balanced_baseline(inst).solution;
-  LocalSearchOptions options;
-  options.threads = 0;
-  const auto result = refine_solution(inst, start, options);
-  EXPECT_EQ(result.threads_used, util::ThreadPool::hardware_threads());
-}
-
-TEST(LocalSearch, SerialRunsNeverWasteEvaluations) {
+TEST(LocalSearch, EvaluationsCountTheStartAndEveryCandidate) {
   util::Rng rng(9001);
   const Instance inst = test::random_instance(10, 30, 140.0, rng);
-  const auto result = refine_solution(inst, solve_rfh(inst).solution);
-  EXPECT_EQ(result.threads_used, 1);
-  EXPECT_EQ(result.wasted_evaluations, 0u);
-}
-
-TEST(LocalSearch, ParallelMatchesSerialBitForBit) {
-  // The speculative parallel scan must reproduce the serial run exactly:
-  // same deployment, same cost to the last bit, same logical evaluation and
-  // move counts.  Only wasted speculation may differ.
-  for (std::uint64_t seed : {9001u, 9002u, 9003u}) {
-    util::Rng rng(seed);
-    const Instance inst = test::random_instance(10, 30, 140.0, rng);
-    const Solution start = solve_rfh(inst).solution;
-
-    LocalSearchOptions serial;
-    serial.threads = 1;
-    const auto base = refine_solution(inst, start, serial);
-
-    for (int threads : {2, 3, 8}) {
-      LocalSearchOptions parallel;
-      parallel.threads = threads;
-      const auto result = refine_solution(inst, start, parallel);
-      EXPECT_EQ(result.solution.deployment, base.solution.deployment)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(result.cost, base.cost) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(result.evaluations, base.evaluations)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(result.moves_applied, base.moves_applied);
-      EXPECT_EQ(result.passes, base.passes);
-      EXPECT_EQ(result.threads_used, threads);
-      for (int p = 0; p < inst.num_posts(); ++p) {
-        EXPECT_EQ(result.solution.tree.parent(p), base.solution.tree.parent(p));
-      }
-    }
+  obs::RecordingSink sink;
+  LocalSearchOptions options;
+  options.sink = &sink;
+  const auto result = refine_solution(inst, solve_rfh(inst).solution, options);
+  EXPECT_EQ(result.evaluations, sink.local_search_moves.size() + 1);
+  ASSERT_EQ(sink.local_search_passes.size(), static_cast<std::size_t>(result.passes));
+  std::uint64_t per_pass = 0;
+  int accepted = 0;
+  for (const auto& pass : sink.local_search_passes) {
+    per_pass += pass.evaluated;
+    accepted += pass.accepted;
   }
-}
-
-TEST(LocalSearch, ParallelEmitsIdenticalMoveEventStream) {
-  // Sink callbacks fire from the calling thread in serial scan order, so the
-  // observable event stream is independent of the thread count too.
-  util::Rng rng(9002);
-  const Instance inst = test::random_instance(10, 30, 140.0, rng);
-  const Solution start = solve_rfh(inst).solution;
-
-  obs::RecordingSink serial_sink;
-  LocalSearchOptions serial;
-  serial.threads = 1;
-  serial.sink = &serial_sink;
-  refine_solution(inst, start, serial);
-
-  obs::RecordingSink parallel_sink;
-  LocalSearchOptions parallel;
-  parallel.threads = 4;
-  parallel.sink = &parallel_sink;
-  refine_solution(inst, start, parallel);
-
-  ASSERT_EQ(parallel_sink.local_search_moves.size(), serial_sink.local_search_moves.size());
-  for (std::size_t i = 0; i < serial_sink.local_search_moves.size(); ++i) {
-    const auto& a = serial_sink.local_search_moves[i];
-    const auto& b = parallel_sink.local_search_moves[i];
-    EXPECT_EQ(a.pass, b.pass) << "event " << i;
-    EXPECT_EQ(a.from_post, b.from_post) << "event " << i;
-    EXPECT_EQ(a.to_post, b.to_post) << "event " << i;
-    EXPECT_EQ(a.old_cost, b.old_cost) << "event " << i;
-    EXPECT_EQ(a.new_cost, b.new_cost) << "event " << i;
-    EXPECT_EQ(a.accepted, b.accepted) << "event " << i;
-  }
-  ASSERT_EQ(parallel_sink.local_search_passes.size(), serial_sink.local_search_passes.size());
-  ASSERT_EQ(serial_sink.local_search_runs.size(), 1u);
-  ASSERT_EQ(parallel_sink.local_search_runs.size(), 1u);
-  EXPECT_EQ(serial_sink.local_search_runs[0].threads, 1);
-  EXPECT_EQ(parallel_sink.local_search_runs[0].threads, 4);
-  EXPECT_EQ(parallel_sink.local_search_runs[0].evaluations,
-            serial_sink.local_search_runs[0].evaluations);
-  EXPECT_EQ(serial_sink.local_search_runs[0].wasted_evaluations, 0u);
+  EXPECT_EQ(per_pass + 1, result.evaluations);
+  EXPECT_EQ(accepted, result.moves_applied);
 }
 
 TEST(LocalSearch, BestImprovementReachesComparableCost) {
@@ -218,22 +223,20 @@ TEST(LocalSearch, BestImprovementReachesComparableCost) {
 
     LocalSearchOptions best_options;
     best_options.strategy = LocalSearchStrategy::kBestImprovement;
-    best_options.threads = 2;
     const auto best = refine_solution(inst, start, best_options);
     EXPECT_TRUE(is_valid_solution(inst, best.solution));
     EXPECT_LE(best.cost, best.initial_cost * (1.0 + 1e-12)) << "seed " << seed;
     EXPECT_LE(best.cost, first.cost * 1.05) << "seed " << seed;
-    EXPECT_EQ(best.wasted_evaluations, 0u);
     // One applied move per improving pass, by construction.
     EXPECT_LE(best.moves_applied, best.passes);
   }
 }
 
 TEST(LocalSearch, GoldenRegressionAgainstPreCacheSolver) {
-  // Exact outputs recorded from the pre-rework solver (seed commit): under
-  // kFull pricing (the historical per-candidate fresh Dijkstra), the
-  // scratch-reusing pricing and speculative machinery must not change the
-  // refined cost, the accepted-move count, or the evaluation count.
+  // Exact outputs recorded from the pre-rework solver (seed commit), which
+  // priced every candidate by a fresh Dijkstra.  Incremental pricing must
+  // not change the accepted-move count or the evaluation count, and the
+  // refined cost is re-priced from the deployment by a fresh Dijkstra.
   struct Golden {
     std::uint64_t seed;
     double cost;
@@ -248,12 +251,17 @@ TEST(LocalSearch, GoldenRegressionAgainstPreCacheSolver) {
   for (const Golden& golden : goldens) {
     util::Rng rng(golden.seed);
     const Instance inst = test::random_instance(10, 30, 140.0, rng);
-    LocalSearchOptions options;
-    options.pricing = MovePricing::kFull;
-    const auto result = refine_solution(inst, solve_rfh(inst).solution, options);
+    const Solution start = solve_rfh(inst).solution;
+    const auto result = refine_solution(inst, start);
     EXPECT_DOUBLE_EQ(result.cost, golden.cost) << "seed " << golden.seed;
     EXPECT_EQ(result.moves_applied, golden.moves) << "seed " << golden.seed;
     EXPECT_EQ(result.evaluations, golden.evaluations) << "seed " << golden.seed;
+    // The fresh-Dijkstra oracle reproduces the recording itself.
+    const ReferenceRun full =
+        reference_refine(inst, start, LocalSearchStrategy::kFirstImprovement);
+    EXPECT_DOUBLE_EQ(full.cost, golden.cost) << "seed " << golden.seed;
+    EXPECT_EQ(full.moves_applied, golden.moves) << "seed " << golden.seed;
+    EXPECT_EQ(full.evaluations, golden.evaluations) << "seed " << golden.seed;
   }
 }
 
@@ -261,71 +269,43 @@ TEST(LocalSearch, IncrementalPricingMatchesFullOnGoldenInstances) {
   // The dynamic-repair pricer changes candidate costs only at the FP
   // summation level; on the golden instances the accepted-move sequence,
   // evaluation counts, final deployment and (within 1e-9 relative) the final
-  // cost must match kFull -- serial and parallel, both strategies.
+  // cost must match fresh-Dijkstra pricing, for both strategies.
   for (std::uint64_t seed : {9001u, 9002u, 9003u}) {
     util::Rng rng(seed);
     const Instance inst = test::random_instance(10, 30, 140.0, rng);
     const Solution start = solve_rfh(inst).solution;
     for (const auto strategy :
          {LocalSearchStrategy::kFirstImprovement, LocalSearchStrategy::kBestImprovement}) {
-      for (int threads : {1, 4}) {
-        obs::RecordingSink full_sink;
-        LocalSearchOptions full;
-        full.pricing = MovePricing::kFull;
-        full.strategy = strategy;
-        full.threads = threads;
-        full.sink = &full_sink;
-        const auto full_result = refine_solution(inst, start, full);
+      const ReferenceRun full = reference_refine(inst, start, strategy);
 
-        obs::RecordingSink inc_sink;
-        LocalSearchOptions inc = full;
-        inc.pricing = MovePricing::kIncremental;
-        inc.sink = &inc_sink;
-        const auto inc_result = refine_solution(inst, start, inc);
+      obs::RecordingSink inc_sink;
+      LocalSearchOptions inc;
+      inc.strategy = strategy;
+      inc.sink = &inc_sink;
+      const auto inc_result = refine_solution(inst, start, inc);
 
-        const auto label = [&] {
-          return ::testing::Message() << "seed " << seed << " strategy "
-                                      << (strategy == LocalSearchStrategy::kBestImprovement)
-                                      << " threads " << threads;
-        };
-        EXPECT_EQ(inc_result.solution.deployment, full_result.solution.deployment) << label();
-        EXPECT_EQ(inc_result.moves_applied, full_result.moves_applied) << label();
-        EXPECT_EQ(inc_result.passes, full_result.passes) << label();
-        EXPECT_EQ(inc_result.evaluations, full_result.evaluations) << label();
-        EXPECT_NEAR(inc_result.cost, full_result.cost, full_result.cost * 1e-9) << label();
-        // Identical accepted-move event stream (costs within tolerance).
-        ASSERT_EQ(inc_sink.local_search_moves.size(), full_sink.local_search_moves.size())
-            << label();
-        for (std::size_t i = 0; i < full_sink.local_search_moves.size(); ++i) {
-          const auto& f = full_sink.local_search_moves[i];
-          const auto& g = inc_sink.local_search_moves[i];
-          EXPECT_EQ(g.from_post, f.from_post) << label() << " event " << i;
-          EXPECT_EQ(g.to_post, f.to_post) << label() << " event " << i;
-          EXPECT_EQ(g.accepted, f.accepted) << label() << " event " << i;
-          EXPECT_NEAR(g.new_cost, f.new_cost, std::abs(f.new_cost) * 1e-9)
-              << label() << " event " << i;
-        }
+      const auto label = [&] {
+        return ::testing::Message() << "seed " << seed << " strategy "
+                                    << (strategy == LocalSearchStrategy::kBestImprovement);
+      };
+      EXPECT_EQ(inc_result.solution.deployment, full.deployment) << label();
+      EXPECT_EQ(inc_result.moves_applied, full.moves_applied) << label();
+      EXPECT_EQ(inc_result.passes, full.passes) << label();
+      EXPECT_EQ(inc_result.evaluations, full.evaluations) << label();
+      EXPECT_NEAR(inc_result.cost, full.cost, full.cost * 1e-9) << label();
+      // Identical accepted-move event stream (costs within tolerance).
+      ASSERT_EQ(inc_sink.local_search_moves.size(), full.moves.size()) << label();
+      for (std::size_t i = 0; i < full.moves.size(); ++i) {
+        const auto& f = full.moves[i];
+        const auto& g = inc_sink.local_search_moves[i];
+        EXPECT_EQ(g.from_post, f.from_post) << label() << " event " << i;
+        EXPECT_EQ(g.to_post, f.to_post) << label() << " event " << i;
+        EXPECT_EQ(g.accepted, f.accepted) << label() << " event " << i;
+        EXPECT_NEAR(g.new_cost, f.new_cost, std::abs(f.new_cost) * 1e-9)
+            << label() << " event " << i;
       }
     }
   }
-}
-
-TEST(LocalSearch, RunEventMatchesResult) {
-  util::Rng rng(9003);
-  const Instance inst = test::random_instance(10, 30, 140.0, rng);
-  obs::RecordingSink sink;
-  LocalSearchOptions options;
-  options.threads = 2;
-  options.sink = &sink;
-  const auto result = refine_solution(inst, solve_rfh(inst).solution, options);
-  ASSERT_EQ(sink.local_search_runs.size(), 1u);
-  const auto& run = sink.local_search_runs[0];
-  EXPECT_EQ(run.threads, result.threads_used);
-  EXPECT_FALSE(run.best_improvement);
-  EXPECT_EQ(run.evaluations, result.evaluations);
-  EXPECT_EQ(run.wasted_evaluations, result.wasted_evaluations);
-  EXPECT_EQ(run.passes, result.passes);
-  EXPECT_EQ(run.moves_applied, result.moves_applied);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "core/baseline.hpp"
@@ -21,13 +22,13 @@ TEST(SolverSpec, ParsesNameAndOptions) {
   EXPECT_EQ(bare.name, "rfh");
   EXPECT_TRUE(bare.options.empty());
 
-  const auto spec = core::SolverSpec::parse("idb:delta=2,ls-threads=4");
+  const auto spec = core::SolverSpec::parse("idb:delta=2,ls-passes=4");
   EXPECT_EQ(spec.name, "idb");
   ASSERT_EQ(spec.options.size(), 2u);
   EXPECT_EQ(spec.options[0].first, "delta");
   EXPECT_EQ(spec.options[0].second, "2");
-  EXPECT_EQ(spec.options[1].first, "ls-threads");
-  EXPECT_EQ(spec.canonical(), "idb:delta=2,ls-threads=4");
+  EXPECT_EQ(spec.options[1].first, "ls-passes");
+  EXPECT_EQ(spec.canonical(), "idb:delta=2,ls-passes=4");
 }
 
 TEST(SolverSpec, RejectsMalformedSpecs) {
@@ -55,20 +56,32 @@ TEST(SolverRegistry, UnknownSolverAndOptionThrow) {
   EXPECT_THROW(registry.create("rfh:iterationz=3"), std::invalid_argument);
   EXPECT_THROW(registry.create("idb:delta=abc"), std::invalid_argument);
   EXPECT_THROW(registry.create("rfh:merge=maybe"), std::invalid_argument);
-  EXPECT_THROW(registry.create("rfh+ls:ls-pricing=fast"), std::invalid_argument);
 }
 
-TEST(SolverRegistry, LsPricingOptionsBothSolveAndAgree) {
-  util::Rng rng(23);
-  const core::Instance inst = test::random_instance(12, 36, 150.0, rng);
+// Message of the std::invalid_argument `create(spec)` throws ("" if none).
+std::string create_error(const std::string& spec) {
+  try {
+    core::SolverRegistry::global().create(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SolverRegistry, LsOptions) {
   const auto& registry = core::SolverRegistry::global();
-  const auto full = registry.create("rfh+ls:ls-pricing=full")->solve(inst);
-  const auto incremental = registry.create("rfh+ls:ls-pricing=incremental")->solve(inst);
-  const auto default_mode = registry.create("rfh+ls")->solve(inst);
-  EXPECT_EQ(incremental.solution.deployment, full.solution.deployment);
-  EXPECT_NEAR(incremental.cost, full.cost, full.cost * 1e-9);
-  // The default is incremental.
-  EXPECT_EQ(default_mode.cost, incremental.cost);
+  for (const char* spec : {"rfh+ls:ls-strategy=first", "rfh+ls:ls-strategy=best",
+                           "idb+ls:ls-strategy=best,ls-passes=3"}) {
+    EXPECT_NO_THROW(registry.create(spec)) << spec;
+  }
+  EXPECT_NE(create_error("rfh+ls:ls-strategy=worst").find("unknown ls-strategy"),
+            std::string::npos);
+  // Candidate pricing has one path, serial and incremental: the retired
+  // thread-count and pricing-mode keys read as typos.
+  for (const char* spec : {"rfh+ls:ls-threads=2", "rfh+ls:ls-pricing=full",
+                           "idb+ls:ls-pricing=incremental"}) {
+    EXPECT_NE(create_error(spec).find("unknown option"), std::string::npos) << spec;
+  }
 }
 
 TEST(SolverRegistry, RfhMatchesDirectCall) {

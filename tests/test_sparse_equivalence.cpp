@@ -15,6 +15,7 @@
 #include "core/idb.hpp"
 #include "core/instance.hpp"
 #include "core/rfh.hpp"
+#include "dijkstra_oracle.hpp"
 #include "energy/charging_model.hpp"
 #include "energy/radio_model.hpp"
 #include "geom/field.hpp"
@@ -125,7 +126,7 @@ core::Instance grid_instance(int cols, int rows, energy::ChargingModel charging,
                                    n * (1 + spare_per_post));
 }
 
-TEST(DijkstraVariants, HeapDenseAndBucketAreBitIdentical) {
+TEST(DijkstraVariants, HeapAndBucketMatchDenseScanBitForBit) {
   util::Rng rng(99);
   const std::vector<energy::ChargingModel> models{
       energy::ChargingModel::linear(0.008),
@@ -142,16 +143,15 @@ TEST(DijkstraVariants, HeapDenseAndBucketAreBitIdentical) {
     ASSERT_TRUE(weight.bounds().usable());
 
     graph::DijkstraScratch heap_s;
-    graph::DijkstraScratch dense_s;
     graph::DijkstraScratch bucket_s;
+    const auto dense = test::dense_scan_distances(inst.graph(), inst.adjacency(), weight);
+    ASSERT_TRUE(dense.all_posts_reachable);
     ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight,
                                                   heap_s, DijkstraVariant::kHeap));
     ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight,
-                                                  dense_s, DijkstraVariant::kDense));
-    ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight,
                                                   bucket_s, DijkstraVariant::kBucket));
     for (std::size_t v = 0; v < heap_s.dist.size(); ++v) {
-      ASSERT_EQ(heap_s.dist[v], dense_s.dist[v]) << "vertex " << v;
+      ASSERT_EQ(heap_s.dist[v], dense.dist[v]) << "vertex " << v;
       ASSERT_EQ(heap_s.dist[v], bucket_s.dist[v]) << "vertex " << v;
     }
 
@@ -176,21 +176,29 @@ TEST(DijkstraVariants, HeapDenseAndBucketAreBitIdentical) {
   }
 }
 
-TEST(DijkstraVariants, AutoPicksBucketOnSparseBoundedWeights) {
-  // 15x15 grid: ~224 posts with degree <= 8, so the dense scan loses and the
-  // recharging weight's usable bounds() make Dial eligible.
-  const core::Instance inst = grid_instance(15, 15, energy::ChargingModel::linear(0.008));
-  ASSERT_LT(inst.adjacency().avg_degree() * 8.0, static_cast<double>(inst.graph().num_vertices()));
-  const std::vector<int> deployment(static_cast<std::size_t>(inst.num_posts()), 1);
-  const core::RechargingWeight weight(inst, deployment);
-  ASSERT_TRUE(weight.bounds().usable());
+TEST(DijkstraVariants, AutoPicksBucketOnSparseAndHeapOnDenseGraphs) {
+  // 15x15 grid: ~224 posts with degree <= 8, so the recharging weight's
+  // usable bounds() make Dial the choice.  A 3x3 grid reaches most of its
+  // posts from each one: dense, so the heap runs.
+  for (const int side : {15, 3}) {
+    const core::Instance inst = grid_instance(side, side, energy::ChargingModel::linear(0.008));
+    const bool sparse = graph::detail::prefer_buckets(inst.adjacency().avg_degree(),
+                                                      inst.graph().num_vertices());
+    ASSERT_EQ(sparse, side == 15);
+    const std::vector<int> deployment(static_cast<std::size_t>(inst.num_posts()), 1);
+    const core::RechargingWeight weight(inst, deployment);
+    ASSERT_TRUE(weight.bounds().usable());
 
-  obs::Counter& dial = obs::Registry::global().counter("dijkstra/dial_runs");
-  const std::uint64_t before = dial.value();
-  graph::DijkstraScratch scratch;
-  ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight, scratch,
-                                                DijkstraVariant::kAuto));
-  EXPECT_EQ(dial.value(), before + 1);
+    obs::Counter& dial = obs::Registry::global().counter("dijkstra/dial_runs");
+    obs::Counter& heap = obs::Registry::global().counter("dijkstra/heap_runs");
+    const std::uint64_t dial_before = dial.value();
+    const std::uint64_t heap_before = heap.value();
+    graph::DijkstraScratch scratch;
+    ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight,
+                                                  scratch, DijkstraVariant::kAuto));
+    EXPECT_EQ(dial.value(), dial_before + (sparse ? 1 : 0)) << side << "x" << side;
+    EXPECT_EQ(heap.value(), heap_before + (sparse ? 0 : 1)) << side << "x" << side;
+  }
 }
 
 TEST(DijkstraVariants, BucketFallsBackToHeapWithoutBounds) {

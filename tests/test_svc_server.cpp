@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -243,6 +244,57 @@ TEST_F(SvcServerTest, EvaluatePricesIncrementally) {
   ASSERT_NE(result2, nullptr);
   EXPECT_NEAR(result2->find("costs")->as_array().front().as_double(), costs[1].as_double(),
               1e-9 * costs[1].as_double());
+}
+
+TEST_F(SvcServerTest, EvaluateRebuildsReuseTheSessionArena) {
+  // Alternating two deployments that differ at two posts by two nodes each
+  // forces a pricer rebuild per entry.  Each rebuild must reuse the warm
+  // state's arena instead of growing it: a resident session's memory stays
+  // flat however many far jumps it prices.
+  io::Json scenario = io::Json::object();
+  scenario.set("posts", io::Json(30));
+  scenario.set("nodes", io::Json(90));
+  scenario.set("side", io::Json(140.0));
+  scenario.set("seed", io::Json(3));
+  const std::vector<int> a(30, 3);
+  std::vector<int> b = a;
+  b.front() = 1;
+  b.back() = 5;
+  const auto alternating = [&](int count) {
+    io::Json params = io::Json::object();
+    params.set("scenario", scenario);
+    io::Json deployments = io::Json::array();
+    for (int i = 0; i < count; ++i) {
+      io::Json row = io::Json::array();
+      for (const int m : (i % 2 == 0 ? a : b)) row.push_back(io::Json(m));
+      deployments.push_back(std::move(row));
+    }
+    params.set("deployments", std::move(deployments));
+    return params;
+  };
+  const std::shared_ptr<Session> session = server_->cache().acquire(Scenario::from_json(scenario));
+  const auto reserved = [&session] {
+    std::unique_ptr<WarmState> warm = session->borrow_warm();
+    const std::size_t bytes = warm->arena.bytes_reserved();
+    session->return_warm(std::move(warm));
+    return bytes;
+  };
+
+  Client client = connect();
+  const io::Json warmup = client.call("evaluate", alternating(2));
+  const io::Json* result = require_result(warmup);
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(result->find("rebuilt")->as_int(), 2);
+  ASSERT_EQ(session->warm_pool_size(), 1u);
+  const std::size_t settled = reserved();
+  EXPECT_GT(settled, 0u);
+  for (int request = 0; request < 3; ++request) {
+    const io::Json reply = client.call("evaluate", alternating(100));
+    result = require_result(reply);
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result->find("rebuilt")->as_int(), 100);
+    EXPECT_EQ(reserved(), settled) << "request " << request;
+  }
 }
 
 TEST_F(SvcServerTest, BadParamsAndSolverRejects) {
